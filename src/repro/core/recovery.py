@@ -43,7 +43,7 @@ import numpy as np
 
 from ..config import ClusterConfig
 from ..dsm.api import Dsm
-from ..dsm.interval import IntervalRecord, VectorClock
+from ..dsm.interval import IntervalRecord, VectorClock, fresh_records
 from ..dsm.system import DsmSystem, RunResult
 from ..errors import RecoveryError
 from ..memory import LocalMemory, PageState, PageTable
@@ -332,9 +332,9 @@ class ReplayNode:
         yield from self._prefetch_window(window)
 
     def _apply_notices(self, records: List[IntervalRecord]) -> None:
-        for r in records:
-            if self.vt.covers_interval(r.node, r.index):
-                continue
+        # logged batches keep the causal order they were received in
+        fresh = fresh_records(self.vt, records)
+        for r in fresh:
             if r.node != self.id:
                 for p in r.pages:
                     entry = self.pagetable.entry(p)
@@ -345,7 +345,7 @@ class ReplayNode:
                     if entry.version is not None and entry.version.dominates(r.vt):
                         continue
                     self.pagetable.invalidate(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = self.vt.join_all(r.vt for r in fresh)
 
     # ------------------------------------------------------------------
     # diff gathering shared by home updates and page reconstruction

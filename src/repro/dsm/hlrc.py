@@ -40,7 +40,7 @@ from ..sim.stats import NodeStats
 from ..sim import trace as _trc
 from ..sim.trace import Ev
 from .barrier import BarrierState
-from .interval import IntervalRecord, IntervalTable, VectorClock
+from .interval import IntervalRecord, IntervalTable, VectorClock, fresh_records
 from .locks import LockState
 from .logginghooks import LoggingHooks, NoLogging
 from .messages import (
@@ -520,10 +520,9 @@ class HlrcNode:
             msg = yield sig
             self._span_end(wsid, detail={"lock": lock_id, "eid": msg.obs_eid})
             records = msg.payload.records
-            known = self.peer_known_vt[mgr]
-            for r in records:
-                known = known.merge(r.vt)
-            self.peer_known_vt[mgr] = known
+            self.peer_known_vt[mgr] = self.peer_known_vt[mgr].join_all(
+                r.vt for r in records
+            )
         self.stats.charge("sync", self.sim.now - t0)
         self.stats.observe("lock_acquire", self.sim.now - t0)
         self.stats.count("lock_acquires")
@@ -679,12 +678,14 @@ class HlrcNode:
         is diffed to its home first -- the "early diff flush" of
         TreadMarks-style protocols -- so local modifications survive the
         invalidation.
+
+        ``records`` must be in causal order (see :func:`fresh_records`);
+        the node's clock then advances by one join over the whole batch.
         """
         to_invalidate: List[int] = []
         seen: set[int] = set()
-        for r in records:
-            if self.vt.covers_interval(r.node, r.index):
-                continue
+        fresh = fresh_records(self.vt, records)
+        for r in fresh:
             self.table.add(r)
             if r.node != self.id:
                 for p in r.pages:
@@ -699,7 +700,7 @@ class HlrcNode:
                         continue  # copy already includes these updates
                     seen.add(p)
                     to_invalidate.append(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = self.vt.join_all(r.vt for r in fresh)
         dirty_hit = [
             p
             for p in to_invalidate

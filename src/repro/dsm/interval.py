@@ -16,12 +16,13 @@ storage, and what recovery uses to rebuild the failed node's timeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ProtocolError
 
-__all__ = ["VectorClock", "IntervalRecord", "IntervalTable"]
+__all__ = ["VectorClock", "IntervalRecord", "IntervalTable", "fresh_records"]
 
 
 class VectorClock:
@@ -30,39 +31,73 @@ class VectorClock:
     Component ``vt[p]`` counts the completed intervals of node ``p``
     whose effects are covered.  Standard partial order:
     ``a.dominates(b)`` iff ``a[i] >= b[i]`` for every ``i``.
+
+    The public constructor is the validating ingress path (log decode,
+    tests, callers outside the protocol): every component must be a
+    non-negative integer.  Clocks derived from validated clocks --
+    ``zero``, ``tick``, ``merge``, ``join_all`` -- are built by
+    :meth:`_trusted`, which skips the per-component checks: maxima and
+    increments of non-negative integers are non-negative integers.
     """
 
     __slots__ = ("_v",)
 
     def __init__(self, values: Iterable[int]):
-        self._v: Tuple[int, ...] = tuple(int(x) for x in values)
-        if any(x < 0 for x in self._v):
-            raise ProtocolError(f"negative vector clock component: {self._v}")
+        # operator.index rejects floats (no silent truncation) and
+        # accepts numpy integers, returning plain ints
+        v = tuple(map(operator.index, values))
+        if v and min(v) < 0:
+            raise ProtocolError(f"negative vector clock component: {v}")
+        self._v: Tuple[int, ...] = v
+
+    @classmethod
+    def _trusted(cls, values: Tuple[int, ...]) -> "VectorClock":
+        """Wrap a component tuple already known to be valid (no checks)."""
+        vc = object.__new__(cls)
+        vc._v = values
+        return vc
 
     @classmethod
     def zero(cls, n: int) -> "VectorClock":
         """The origin timestamp for an ``n``-node system."""
-        return cls((0,) * n)
+        return cls._trusted((0,) * n)
 
     # ------------------------------------------------------------------
     def tick(self, node: int) -> "VectorClock":
         """A copy with component ``node`` incremented (interval completion)."""
-        v = list(self._v)
-        v[node] += 1
-        return VectorClock(v)
+        self._check_node(node)
+        v = self._v
+        return VectorClock._trusted(v[:node] + (v[node] + 1,) + v[node + 1:])
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Component-wise maximum (causal join)."""
         self._check_width(other)
-        return VectorClock(max(a, b) for a, b in zip(self._v, other._v))
+        return VectorClock._trusted(tuple(map(max, self._v, other._v)))
+
+    def join_all(self, others: Iterable["VectorClock"]) -> "VectorClock":
+        """The join of ``self`` and every clock in ``others``, in one pass.
+
+        Equal to folding :meth:`merge` over ``others`` (the join is
+        associative and commutative), but one elementwise ``max`` over
+        the whole batch replaces one intermediate clock per member.
+        """
+        others = list(others)
+        if not others:
+            return self
+        for o in others:
+            self._check_width(o)
+        # max over each component's column (zip transposes the batch)
+        columns = zip(self._v, *(o._v for o in others))
+        return VectorClock._trusted(tuple(map(max, columns)))
 
     def dominates(self, other: "VectorClock") -> bool:
         """True iff ``self >= other`` component-wise."""
         self._check_width(other)
-        return all(a >= b for a, b in zip(self._v, other._v))
+        return all(map(operator.ge, self._v, other._v))
 
     def covers_interval(self, node: int, index: int) -> bool:
         """Whether interval ``index`` of ``node`` is within this history."""
+        self._check_node(node)
         return self._v[node] >= index + 1
 
     # ------------------------------------------------------------------
@@ -95,6 +130,13 @@ class VectorClock:
         """The raw component tuple."""
         return self._v
 
+    def _check_node(self, node: int) -> None:
+        # a negative id would otherwise alias node n-1 through indexing
+        if not 0 <= node < len(self._v):
+            raise ProtocolError(
+                f"node {node} out of range for a {len(self._v)}-node vector clock"
+            )
+
     def _check_width(self, other: "VectorClock") -> None:
         if len(self._v) != len(other._v):
             raise ProtocolError(
@@ -111,14 +153,23 @@ class IntervalRecord:
     vt: VectorClock
     #: Pages written during the interval (sorted page ids).
     pages: Tuple[int, ...]
+    #: ``(vt.total, node, index)``: sorting by it yields a linear
+    #: extension of happens-before.  Derived once, at construction.
+    causal_key: Tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    #: Encoded wire/log size: metadata + vector + 4 bytes per notice.
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     #: Encoded bytes for (node, index, page count) metadata.
     META_BYTES = 12
 
-    @property
-    def nbytes(self) -> int:
-        """Encoded wire/log size: metadata + vector + 4 bytes per notice."""
-        return self.META_BYTES + self.vt.nbytes + 4 * len(self.pages)
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "causal_key", (self.vt.total, self.node, self.index)
+        )
+        object.__setattr__(
+            self, "nbytes",
+            self.META_BYTES + self.vt.nbytes + 4 * len(self.pages),
+        )
 
     @property
     def key(self) -> Tuple[int, int]:
@@ -127,6 +178,37 @@ class IntervalRecord:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<IR n{self.node}i{self.index} {self.vt} pages={list(self.pages)}>"
+
+
+_causal_key = operator.attrgetter("causal_key")
+
+
+def fresh_records(
+    vt: VectorClock, records: Iterable[IntervalRecord]
+) -> List[IntervalRecord]:
+    """The records of one notice batch that a node at ``vt`` lacks.
+
+    Keeps batch order and drops records ``vt`` covers and repeats of a
+    record already kept.  Precondition: ``records`` is in causal order,
+    sorted by :attr:`IntervalRecord.causal_key` (how every grant, barrier
+    release and logged notice batch is built).  Then no record of the
+    batch covers a later one -- covering implies happens-before, which
+    implies a strictly smaller ``vt.total`` -- so testing each record
+    against the pre-batch ``vt`` alone, then joining the kept records'
+    clocks once (:meth:`VectorClock.join_all`), is exactly the
+    record-at-a-time test-and-merge loop.
+    """
+    out: List[IntervalRecord] = []
+    seen: set[Tuple[int, int]] = set()
+    for r in records:
+        if vt.covers_interval(r.node, r.index):
+            continue
+        key = (r.node, r.index)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(r)
+    return out
 
 
 class IntervalTable:
@@ -150,6 +232,9 @@ class IntervalTable:
         #: trailing gaps filled later; lock-chain delivery is causal, so
         #: gaps are transient and only ever at the tail).
         self._by_node: Dict[int, List[Optional[IntervalRecord]]] = {}
+        #: node -> low-water mark: every entry below it is ``None``, so
+        #: a prune only walks the entries above it
+        self._low: Dict[int, int] = {}
         self._count = 0
 
     def add(self, record: IntervalRecord) -> bool:
@@ -159,6 +244,10 @@ class IntervalTable:
             if lst[record.index] is not None:
                 return False
             lst[record.index] = record
+            # a manager can be handed a record it already pruned (the
+            # sender's view of it is stale); the next prune drops it again
+            if record.index < self._low.get(record.node, 0):
+                self._low[record.node] = record.index
         else:
             while len(lst) < record.index:
                 lst.append(None)
@@ -193,18 +282,18 @@ class IntervalTable:
         safe order.
         """
         out: List[IntervalRecord] = []
+        v = vt._v
+        width = len(v)
         for node, lst in self._by_node.items():
-            start = vt[node] if node < len(vt) else 0
-            for r in lst[start:]:
-                if r is not None:
-                    out.append(r)
-        out.sort(key=lambda r: (r.vt.total, r.node, r.index))
+            # records are always truthy, so filter(None, ...) drops gaps
+            out.extend(filter(None, lst[v[node] if node < width else 0:]))
+        out.sort(key=_causal_key)
         return out
 
     def all_records(self) -> List[IntervalRecord]:
         """Every known record in causal order."""
         out = [r for lst in self._by_node.values() for r in lst if r is not None]
-        out.sort(key=lambda r: (r.vt.total, r.node, r.index))
+        out.sort(key=_causal_key)
         return out
 
     def prune_covered_by(self, vt: VectorClock) -> int:
@@ -218,12 +307,17 @@ class IntervalTable:
         the log), so pruning does not affect recoverability.
         """
         dropped = 0
+        v = vt._v
+        width = len(v)
+        low = self._low
         for node, lst in self._by_node.items():
-            limit = min(vt[node] if node < len(vt) else 0, len(lst))
-            for i in range(limit):
-                if lst[i] is not None:
-                    lst[i] = None
-                    dropped += 1
+            start = low.get(node, 0)
+            limit = min(v[node] if node < width else 0, len(lst))
+            if limit <= start:
+                continue
+            dropped += limit - start - lst[start:limit].count(None)
+            lst[start:limit] = [None] * (limit - start)
+            low[node] = limit
         self._count -= dropped
         return dropped
 

@@ -41,7 +41,7 @@ from ..memory.diff import Diff, apply_diff
 
 from ..sim.network import NetMessage
 from .hlrc import HlrcNode
-from .interval import IntervalRecord, VectorClock
+from .interval import IntervalRecord, VectorClock, fresh_records
 from .messages import MSG_FIXED_BYTES
 
 __all__ = ["LrcNode", "LrcDiffRequest", "LrcDiffReply"]
@@ -152,9 +152,8 @@ class LrcNode(HlrcNode):
         self, records: List[IntervalRecord]
     ) -> Generator[Any, Any, None]:
         to_invalidate: List[int] = []
-        for r in records:
-            if self.vt.covers_interval(r.node, r.index):
-                continue
+        fresh = fresh_records(self.vt, records)
+        for r in fresh:
             self.table.add(r)
             if r.node != self.id:
                 for p in r.pages:
@@ -164,7 +163,7 @@ class LrcNode(HlrcNode):
                     self.pending.setdefault(p, []).append(r)
                     if entry.state is not PageState.INVALID:
                         to_invalidate.append(p)
-            self.vt = self.vt.merge(r.vt)
+        self.vt = self.vt.join_all(r.vt for r in fresh)
         dirty_hit = [
             p for p in dict.fromkeys(to_invalidate)
             if self.pagetable.entry(p).state is PageState.DIRTY

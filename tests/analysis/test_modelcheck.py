@@ -49,6 +49,19 @@ def test_three_node_lock_exhausts_and_branches():
     assert report.recovery_checks > 0
 
 
+@pytest.mark.parametrize(
+    "protocol,checks,deduped", [("ccl", 9, 285), ("ml", 10, 368)]
+)
+def test_three_node_lock_fingerprint_pinned(protocol, checks, deduped):
+    """The exploration counts are a fingerprint of protocol behaviour:
+    any change to message flow or logging under the 3-node lock program
+    moves them."""
+    report = run_modelcheck(program="lock", nodes=3, pages=1, protocol=protocol)
+    assert report.ok and not report.truncated
+    assert (report.explored, report.pruned, report.transitions) == (42, 93, 840)
+    assert (report.recovery_checks, report.recovery_deduped) == (checks, deduped)
+
+
 def test_dpor_explores_fewer_executions_than_full_search():
     full = run_modelcheck(program="lock", nodes=3, pages=1,
                           use_dpor=False, budget=120, check_recovery=False)

@@ -8,6 +8,11 @@ outcome and the protocol events that produced it.
 import numpy as np
 import pytest
 
+from repro.apps import make_app
+from repro.config import ClusterConfig
+from repro.core import make_hooks_factory
+from repro.dsm import DsmSystem
+from repro.harness.scales import app_kwargs
 from repro.memory import PageState
 from tests.dsm.conftest import run_app
 
@@ -317,3 +322,21 @@ class TestProtocolBookkeeping:
         for node in sys_.nodes:
             assert node.interval_index == 4
             assert node.seal_count == 4
+
+
+class TestBookkeepingByteIdentity:
+    def test_sor_ccl_16_nodes_pinned(self):
+        """Simulated outcome of a 16-node sor/ccl run, recorded before the
+        batched notice join, trusted clock joins and incremental prune;
+        any drift means the bookkeeping changed protocol behaviour."""
+        app = make_app("sor", **app_kwargs("sor", "test"))
+        system = DsmSystem(
+            app, ClusterConfig.ultra5(num_nodes=16),
+            make_hooks_factory("ccl"), protocol_name="ccl",
+        )
+        result = system.run()
+        assert app.verify(system)
+        assert repr(result.total_time) == "0.059806151619047725"
+        assert result.network_msgs == 544
+        assert result.network_bytes == 763976
+        assert sum(s["bytes_flushed"] for s in result.log_summaries) == 177676
